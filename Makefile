@@ -13,9 +13,16 @@ verify:
 	fi
 	go test ./...
 	go test -race ./internal/core/... ./internal/obs/... ./internal/simtest/... ./internal/experiment/... ./internal/serve/... ./internal/cluster/...
+	$(MAKE) perfbench-check
 ifeq ($(FUZZ),1)
 	$(MAKE) fuzz-smoke
 endif
+
+# perfbench/ is its own module (replace netags => ../), so the root
+# `go build ./...` never compiles it; it calls the experiment and serve
+# APIs directly, so vet and short-test it against the tree.
+perfbench-check:
+	cd perfbench && go vet ./... && go test -short ./...
 
 # Scale tier: the simtest differential oracles at 10^4–10^5 tags plus the
 # million-tag smoke session (duration + live-heap budgets, bitmap held to
@@ -93,4 +100,4 @@ bench-compare:
 			-baseline BENCH_observability.json \
 			-tolerance $(BENCH_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE)
 
-.PHONY: verify test-scale serve-e2e load-smoke cluster-e2e fuzz-smoke bench bench-sweep bench-compare
+.PHONY: verify perfbench-check test-scale serve-e2e load-smoke cluster-e2e fuzz-smoke bench bench-sweep bench-compare

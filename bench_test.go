@@ -7,6 +7,7 @@
 package netags_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -254,7 +255,7 @@ func BenchmarkAblationEstimators(b *testing.B) {
 	b.Run("LoF", func(b *testing.B) { run(b, netags.EstimateLoF) })
 }
 
-// benchSweep runs one full experiment.Run sweep on the Quick()
+// benchSweep runs one full experiment.RunContext sweep on the Quick()
 // configuration (n = 10,000, r ∈ {2, 6, 10}, 3 trials) with the given
 // worker count. Sequential vs parallel report identical numbers; only the
 // wall clock differs. Run with `go test -bench=ExperimentQuick -benchtime=1x`
@@ -265,7 +266,7 @@ func benchSweep(b *testing.B, workers int) {
 	cfg.Workers = workers
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Run(cfg, nil); err != nil {
+		if _, err := experiment.RunContext(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

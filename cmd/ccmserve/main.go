@@ -1,8 +1,8 @@
 // Command ccmserve runs the simulation-as-a-service daemon: a
 // priority-aware job queue, worker pool, per-point checkpoint store, and
 // content-addressed result cache over the experiment sweeps, exposed as a
-// versioned HTTP API (/api/v1, with unversioned aliases) beside the live
-// introspection endpoints (see internal/serve).
+// versioned HTTP API (/api/v1) beside the live introspection endpoints (see
+// internal/serve).
 //
 // Example:
 //
@@ -18,9 +18,9 @@
 // back for.
 //
 // Observability: structured logs (-log-level, -log-format) on stderr with
-// X-Request-ID correlation, job lifecycle timelines on /jobs/{id}/trace and
-// mirrored into /events (-events bounds the ring), SLO histograms and
-// per-class queue gauges on /metrics.
+// X-Request-ID correlation, job lifecycle timelines on
+// /api/v1/jobs/{id}/trace and mirrored into /events (-events bounds the
+// ring), SLO histograms and per-class queue gauges on /metrics.
 package main
 
 import (
@@ -105,7 +105,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		pool        = fs.Int("pool", 2, "concurrent sweep jobs (worker pool size)")
 		jobWorkers  = fs.Int("job-workers", 0, "per-job experiment worker cap (0 = cores/pool)")
 		cacheCap    = fs.Int("cache", 256, "result cache capacity in entries (LRU; negative = unbounded)")
-		maxJobs     = fs.Int("max-jobs", 1024, "terminal job records to retain for GET /jobs")
+		maxJobs     = fs.Int("max-jobs", 1024, "terminal job records to retain for GET /api/v1/jobs")
 		ckptDir     = fs.String("checkpoint-dir", "", "persist per-point checkpoints here for crash-resumable sweeps (empty = memory only)")
 		ckptTTL     = fs.Duration("checkpoint-ttl", 0, "purge checkpoint files unreferenced for this long (0 = never)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight jobs")

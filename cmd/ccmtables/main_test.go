@@ -54,6 +54,10 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-n", "100", "-trials", "1", "-r", "6", "-protocols", "bogus", "-quiet"}); err == nil {
 		t.Fatal("bogus protocol accepted")
 	}
+	// strconv.ParseFloat accepts "NaN"; the sweep validator must not.
+	if err := run(context.Background(), []string{"-n", "100", "-trials", "1", "-r", "6", "-loss", "NaN", "-quiet"}); err == nil {
+		t.Fatal("NaN loss accepted")
+	}
 }
 
 func TestRunLossMode(t *testing.T) {

@@ -223,9 +223,9 @@ func (rt *Router) overloaded(bi int) bool {
 }
 
 // Handler builds the router's combined mux: the proxied jobs API under
-// /api/v1 (with the same unversioned aliases the workers serve) plus the
-// introspection endpoints from httpserve (/metrics, /api/v1/timeseries,
-// /api/v1/alerts, /api/v1/cluster, /events, /healthz, /readyz, pprof).
+// /api/v1 plus the introspection endpoints from httpserve (/metrics,
+// /api/v1/timeseries, /api/v1/alerts, /api/v1/cluster, /events, /healthz,
+// /readyz, pprof).
 // Unset obsOpts fields are wired to the router: ExtraMetrics to WriteProm
 // (chained after any caller-provided hook) and Cluster to StatusJSON.
 func (rt *Router) Handler(obsOpts httpserve.Options) http.Handler {
@@ -239,24 +239,21 @@ func (rt *Router) Handler(obsOpts httpserve.Options) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", httpserve.NewHandler(obsOpts))
-	for _, prefix := range []string{serve.APIPrefix, ""} {
-		prefix := prefix
-		mux.HandleFunc("POST "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
-			rt.handleSubmit(w, r)
-		})
-		mux.HandleFunc("GET "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
-			rt.handleList(w, r)
-		})
-		mux.HandleFunc(prefix+"/jobs/{rest...}", func(w http.ResponseWriter, r *http.Request) {
-			rest := r.PathValue("rest")
-			id, _, _ := strings.Cut(rest, "/")
-			if id == "" {
-				writeError(w, http.StatusNotFound, serve.CodeNotFound, "missing job id")
-				return
-			}
-			rt.forward(w, r, id, nil)
-		})
-	}
+	mux.HandleFunc("POST "+serve.APIPrefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
+		rt.handleSubmit(w, r)
+	})
+	mux.HandleFunc("GET "+serve.APIPrefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
+		rt.handleList(w, r)
+	})
+	mux.HandleFunc(serve.APIPrefix+"/jobs/{rest...}", func(w http.ResponseWriter, r *http.Request) {
+		rest := r.PathValue("rest")
+		id, _, _ := strings.Cut(rest, "/")
+		if id == "" {
+			writeError(w, http.StatusNotFound, serve.CodeNotFound, "missing job id")
+			return
+		}
+		rt.forward(w, r, id, nil)
+	})
 	return mux
 }
 

@@ -363,8 +363,18 @@ func TestRouterBadSubmitBody(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
+	// The jobs API lives only under /api/v1.
+	legacy, err := http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"spec":{"n":150,"trials":1,"r_values":[6]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy.Body.Close()
+	if legacy.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /jobs status %d, want 404", legacy.StatusCode)
+	}
 	if b1.hits.Load() != 0 {
-		t.Fatal("malformed submit reached a backend")
+		t.Fatal("malformed or unrouted submit reached a backend")
 	}
 }
 

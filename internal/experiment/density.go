@@ -8,11 +8,8 @@ import (
 
 	"netags/internal/geom"
 	"netags/internal/gmle"
-	"netags/internal/obs"
-	"netags/internal/sicp"
 	"netags/internal/stats"
 	"netags/internal/topology"
-	"netags/internal/trp"
 )
 
 // DensityConfig parameterizes a population sweep — an extension beyond the
@@ -48,147 +45,103 @@ type DensityResults struct {
 	Rows   []DensityRow
 }
 
-// densityPoint is one population with its per-n derived frame sizes.
-type densityPoint struct {
-	n, gmleF, trpF int
-}
+// densityProtocols are the protocols the population sweep runs, in run
+// order.
+var densityProtocols = []Protocol{GMLECCM, TRPCCM, SICP}
 
-// densityTrial is one deployment's slot counts.
+// densityTrial is one deployment's slot counts, indexed like
+// densityProtocols.
 type densityTrial struct {
-	tiers           int
-	gmle, trp, sicp int64
-}
-
-// RunDensitySweep measures how each protocol's air time scales with the
-// population.
-//
-// Deprecated: shim over RunDensitySweepContext; results are identical.
-func RunDensitySweep(cfg DensityConfig) (*DensityResults, error) {
-	return RunDensitySweepContext(context.Background(), cfg, nil)
+	tiers int
+	slots [3]int64
 }
 
 // RunDensitySweepContext runs the population sweep over cfg.Workers
 // goroutines. Frame sizes are re-derived per n, exactly as the paper sizes
 // its frames for n = 10,000.
 func RunDensitySweepContext(ctx context.Context, cfg DensityConfig, observe func(Progress)) (*DensityResults, error) {
-	return RunDensitySweepPartial(ctx, cfg, nil, nil, observe)
-}
-
-// RunDensitySweepPartial is RunDensitySweepContext with resume support —
-// the same contract as RunContextPartial: skipped points come back as
-// zero-valued rows (only N set) and pointDone fires once per computed
-// point with its fully aggregated DensityRow.
-func RunDensitySweepPartial(ctx context.Context, cfg DensityConfig, skip []bool, pointDone func(PointInfo, DensityRow), observe func(Progress)) (*DensityResults, error) {
-	if err := cfg.validate(false); err != nil {
-		return nil, err
-	}
-	if len(cfg.NValues) == 0 || cfg.R <= 0 {
-		return nil, fmt.Errorf("experiment: incomplete density config %+v", cfg)
-	}
-	points := make([]densityPoint, len(cfg.NValues))
-	for i, n := range cfg.NValues {
-		if n <= 0 {
-			return nil, fmt.Errorf("experiment: population %d must be positive", n)
-		}
-		gmleF, err := gmle.FrameSizeFor(0.05, 0.95)
-		if err != nil {
-			return nil, err
-		}
-		tol := n / 200
-		if tol == 0 {
-			tol = 1
-		}
-		trpF, err := trp.FrameSizeFor(n, tol, 0.95)
-		if err != nil {
-			return nil, err
-		}
-		points[i] = densityPoint{n: n, gmleF: gmleF, trpF: trpF}
-	}
-
-	sweep := Sweep[densityPoint, densityTrial]{
-		Base:   cfg.BaseConfig,
-		Points: points,
-		Skip:   skip,
-		Key:    func(p densityPoint) uint64 { return IntKey(p.n) },
-		Run: func(ctx context.Context, p densityPoint, trial int, seeds TrialSeeds) (densityTrial, error) {
-			d := geom.NewUniformDisk(p.n, cfg.Radius, seeds.Deploy)
-			nw, err := topology.Build(d, 0, topology.PaperRanges(cfg.R))
-			if err != nil {
-				return densityTrial{}, fmt.Errorf("n=%d trial %d: %w", p.n, trial, err)
-			}
-			gm, _, err := runProtocolSized(GMLECCM, nw, p.gmleF, gmle.SamplingFor(p.gmleF, float64(p.n)), seeds.Proto, cfg.Tracer)
-			if err != nil {
-				return densityTrial{}, err
-			}
-			tr, _, err := runProtocolSized(TRPCCM, nw, p.trpF, 1, seeds.Proto, cfg.Tracer)
-			if err != nil {
-				return densityTrial{}, err
-			}
-			si, _, err := runProtocolSized(SICP, nw, 0, 0, seeds.Proto, cfg.Tracer)
-			if err != nil {
-				return densityTrial{}, err
-			}
-			return densityTrial{tiers: nw.K, gmle: gm, trp: tr, sicp: si}, nil
-		},
-		Event: func(p densityPoint, trial int, dt densityTrial, elapsed time.Duration) Progress {
-			return Progress{
-				Sweep: "density", N: p.n, Trial: trial, Trials: cfg.Trials,
-				Protocols: []Protocol{GMLECCM, TRPCCM, SICP}, Tiers: dt.tiers, Elapsed: elapsed,
-			}
-		},
-	}
-	if pointDone != nil {
-		sweep.PointDone = func(p SweepPoint[densityPoint, densityTrial]) {
-			pointDone(PointInfo{Index: p.Index, Seeds: p.Seeds, Elapsed: p.Elapsed},
-				buildDensityRow(p.Point.n, p.Trials))
-		}
-	}
-	grid, err := RunSweep(ctx, sweep, observe)
+	rows, err := RunResumable(ctx, cfg, nil, nil, observe)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &DensityResults{Config: cfg}
-	for pi, p := range points {
-		if skip != nil && skip[pi] {
-			res.Rows = append(res.Rows, DensityRow{N: p.n})
-			continue
-		}
-		res.Rows = append(res.Rows, buildDensityRow(p.n, grid[pi]))
-	}
-	return res, nil
+	return &DensityResults{Config: cfg, Rows: rows}, nil
 }
 
-// buildDensityRow folds one population's trials into its DensityRow.
-func buildDensityRow(n int, trials []densityTrial) DensityRow {
-	row := DensityRow{N: n}
-	for _, dt := range trials {
-		row.Tiers.Add(float64(dt.tiers))
-		row.GMLESlots.Add(float64(dt.gmle))
-		row.TRPSlots.Add(float64(dt.trp))
-		row.SICPSlots.Add(float64(dt.sicp))
+// Validate reports the config's first problem; RunDensitySweepContext
+// makes the same check before it runs anything.
+func (cfg DensityConfig) Validate() error {
+	if err := cfg.validate(false); err != nil {
+		return err
 	}
-	return row
+	if len(cfg.NValues) == 0 {
+		return fmt.Errorf("experiment: density sweep needs populations")
+	}
+	for _, n := range cfg.NValues {
+		if n <= 0 {
+			return fmt.Errorf("experiment: population %d must be positive", n)
+		}
+	}
+	return checkDistance("inter-tag range", cfg.R)
 }
 
-// runProtocolSized runs one protocol with explicit frame parameters and
-// returns its slot count.
-func runProtocolSized(p Protocol, nw *topology.Network, frame int, sampling float64, seed uint64, tracer obs.Tracer) (int64, int64, error) {
-	switch p {
-	case GMLECCM, TRPCCM:
-		r, err := runCCM(nw, frame, sampling, seed, false, tracer)
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.clock.Total(), 0, nil
-	case SICP:
-		r, err := sicp.Collect(nw, sicp.Options{Seed: seed, Tracer: tracer})
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.Clock.Total(), 0, nil
+// kind is the population sweep. Each point is the range sweep's Config at
+// population n with both frames sized for n, so runProtocol runs it
+// exactly as the range sweep would.
+func (cfg DensityConfig) kind() (sweeper[DensityRow], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return 0, 0, fmt.Errorf("experiment: unsupported protocol %q in density sweep", p)
+	gmleF, err := gmle.FrameSizeFor(0.05, 0.95)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]Config, len(cfg.NValues))
+	for i, n := range cfg.NValues {
+		trpF, err := trpFrameFor(n)
+		if err != nil {
+			return nil, err
+		}
+		points[i] = Config{BaseConfig: BaseConfig{N: n, Tracer: cfg.Tracer}, GMLEFrame: gmleF, TRPFrame: trpF}
+	}
+	return kind[Config, densityTrial, DensityRow]{
+		Sweep: Sweep[Config, densityTrial]{
+			Base:   cfg.BaseConfig,
+			Points: points,
+			Key:    func(p Config) uint64 { return IntKey(p.N) },
+			Run: func(ctx context.Context, p Config, trial int, seeds TrialSeeds) (densityTrial, error) {
+				d := geom.NewUniformDisk(p.N, cfg.Radius, seeds.Deploy)
+				nw, err := topology.Build(d, 0, topology.PaperRanges(cfg.R))
+				if err != nil {
+					return densityTrial{}, fmt.Errorf("n=%d trial %d: %w", p.N, trial, err)
+				}
+				dt := densityTrial{tiers: nw.K}
+				for i, proto := range densityProtocols {
+					clock, _, err := runProtocol(proto, nw, p, seeds.Proto)
+					if err != nil {
+						return densityTrial{}, err
+					}
+					dt.slots[i] = clock.Total()
+				}
+				return dt, nil
+			},
+			Event: func(p Config, trial int, dt densityTrial, elapsed time.Duration) Progress {
+				return Progress{
+					Sweep: "density", N: p.N, Trial: trial, Trials: cfg.Trials,
+					Protocols: densityProtocols, Tiers: dt.tiers, Elapsed: elapsed,
+				}
+			},
+		},
+		row: func(p Config, trials []densityTrial) DensityRow {
+			row := DensityRow{N: p.N}
+			for _, dt := range trials {
+				row.Tiers.Add(float64(dt.tiers))
+				for i, s := range []*stats.Sample{&row.GMLESlots, &row.TRPSlots, &row.SICPSlots} {
+					s.Add(float64(dt.slots[i]))
+				}
+			}
+			return row
+		},
+	}, nil
 }
 
 // Render prints the sweep as a table.

@@ -111,20 +111,6 @@ type Results struct {
 	Rows   []Row
 }
 
-// Run executes the sweep. progress, if non-nil, receives one rendered line
-// per completed (r, trial) pair.
-//
-// Deprecated: Run is a compatibility shim over RunContext. New callers
-// should use RunContext, which supports cancellation and structured
-// Progress events. Results are identical either way.
-func Run(cfg Config, progress func(string)) (*Results, error) {
-	var observe func(Progress)
-	if progress != nil {
-		observe = func(p Progress) { progress(p.String()) }
-	}
-	return RunContext(context.Background(), cfg, observe)
-}
-
 // rangeTrial is one deployment's measurements, carried out of the worker
 // pool and reduced into Row accumulators in grid order afterwards.
 type rangeTrial struct {
@@ -139,132 +125,114 @@ type protoObs struct {
 	avgSent, avgReceived float64
 }
 
-// PointInfo identifies one completed sweep point for the per-point hooks
-// of the Partial runners: its grid index, the position-derived seeds each
-// trial ran with, and the summed wall time of the point's work items.
-type PointInfo struct {
-	Index   int
-	Seeds   []TrialSeeds
-	Elapsed time.Duration
-}
-
 // RunContext executes the sweep, fanning the (r, trial) grid out over
 // cfg.Workers goroutines (0 = GOMAXPROCS). Results are bit-identical for
 // every worker count. observe, if non-nil, receives one Progress event per
 // completed trial, serialized but in completion order.
 func RunContext(ctx context.Context, cfg Config, observe func(Progress)) (*Results, error) {
-	return RunContextPartial(ctx, cfg, nil, nil, observe)
-}
-
-// RunContextPartial is RunContext with resume support: points whose
-// skip[i] is true are not run (their Rows come back with a nil ByProtocol
-// map — the caller is expected to already hold their results), and
-// pointDone, if non-nil, fires once per computed point, as soon as its
-// last trial lands, with the point's fully aggregated Row. Because seeds
-// are position-derived and per-point aggregation reads only that point's
-// trials, a Row delivered through pointDone is bit-identical to the same
-// Row of an uninterrupted run — the contract checkpoint/resume builds on.
-func RunContextPartial(ctx context.Context, cfg Config, skip []bool, pointDone func(PointInfo, Row), observe func(Progress)) (*Results, error) {
-	if err := cfg.validate(true); err != nil {
+	rows, err := RunResumable(ctx, cfg, nil, nil, observe)
+	if err != nil {
 		return nil, err
 	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].R < rows[j].R })
+	return &Results{Config: cfg, Rows: rows}, nil
+}
+
+// Validate reports the config's first problem; RunContext makes the same
+// check before it runs anything.
+func (cfg Config) Validate() error {
+	if err := cfg.validate(true); err != nil {
+		return err
+	}
 	if len(cfg.RValues) == 0 {
-		return nil, fmt.Errorf("experiment: no r values in config %+v", cfg)
+		return fmt.Errorf("experiment: range sweep needs r values")
+	}
+	for _, r := range cfg.RValues {
+		if err := checkDistance("inter-tag range", r); err != nil {
+			return err
+		}
 	}
 	if cfg.GMLEFrame <= 0 || cfg.TRPFrame <= 0 {
-		return nil, fmt.Errorf("experiment: frame sizes must be positive")
+		return fmt.Errorf("experiment: frame sizes must be positive")
+	}
+	if cfg.ContentionWindow < 0 {
+		return fmt.Errorf("experiment: contention window must be >= 0, got %d", cfg.ContentionWindow)
+	}
+	for _, p := range cfg.Protocols {
+		switch p {
+		case GMLECCM, TRPCCM, SICP, CICP:
+		default:
+			return fmt.Errorf("experiment: unknown protocol %q", p)
+		}
+	}
+	return nil
+}
+
+// kind is the range sweep: one point per r, every selected protocol run on
+// each trial's deployment.
+func (cfg Config) kind() (sweeper[Row], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	protocols := cfg.Protocols
 	if len(protocols) == 0 {
 		protocols = []Protocol{SICP, GMLECCM, TRPCCM}
 	}
-	for _, p := range protocols {
-		switch p {
-		case GMLECCM, TRPCCM, SICP, CICP:
-		default:
-			return nil, fmt.Errorf("experiment: unknown protocol %q", p)
-		}
-	}
-
-	sweep := Sweep[float64, rangeTrial]{
-		Base:   cfg.BaseConfig,
-		Points: cfg.RValues,
-		Key:    FloatKey,
-		Skip:   skip,
-		Run: func(ctx context.Context, r float64, trial int, seeds TrialSeeds) (rangeTrial, error) {
-			d := geom.NewUniformDisk(cfg.N, cfg.Radius, seeds.Deploy)
-			nw, err := topology.Build(d, 0, topology.PaperRanges(r))
-			if err != nil {
-				return rangeTrial{}, fmt.Errorf("r=%v trial %d: %w", r, trial, err)
-			}
-			in := func(i int) bool { return nw.Tier[i] > 0 }
-			tr := rangeTrial{tiers: nw.K, protos: make([]protoObs, len(protocols))}
-			for pi, p := range protocols {
-				clock, meter, err := runProtocol(p, nw, cfg, seeds.Proto)
+	return kind[float64, rangeTrial, Row]{
+		Sweep: Sweep[float64, rangeTrial]{
+			Base:   cfg.BaseConfig,
+			Points: cfg.RValues,
+			Key:    FloatKey,
+			Run: func(ctx context.Context, r float64, trial int, seeds TrialSeeds) (rangeTrial, error) {
+				d := geom.NewUniformDisk(cfg.N, cfg.Radius, seeds.Deploy)
+				nw, err := topology.Build(d, 0, topology.PaperRanges(r))
 				if err != nil {
-					return rangeTrial{}, fmt.Errorf("r=%v trial %d %s: %w", r, trial, p, err)
+					return rangeTrial{}, fmt.Errorf("r=%v trial %d: %w", r, trial, err)
 				}
-				sum := meter.Summarize(in)
-				tr.protos[pi] = protoObs{
-					slots:       clock.Total(),
-					maxSent:     sum.MaxSent,
-					maxReceived: sum.MaxReceived,
-					avgSent:     sum.AvgSent,
-					avgReceived: sum.AvgReceived,
+				in := func(i int) bool { return nw.Tier[i] > 0 }
+				tr := rangeTrial{tiers: nw.K, protos: make([]protoObs, len(protocols))}
+				for pi, p := range protocols {
+					clock, meter, err := runProtocol(p, nw, cfg, seeds.Proto)
+					if err != nil {
+						return rangeTrial{}, fmt.Errorf("r=%v trial %d %s: %w", r, trial, p, err)
+					}
+					sum := meter.Summarize(in)
+					tr.protos[pi] = protoObs{
+						slots:       clock.Total(),
+						maxSent:     sum.MaxSent,
+						maxReceived: sum.MaxReceived,
+						avgSent:     sum.AvgSent,
+						avgReceived: sum.AvgReceived,
+					}
+				}
+				return tr, nil
+			},
+			Event: func(r float64, trial int, tr rangeTrial, elapsed time.Duration) Progress {
+				return Progress{
+					Sweep: "range", R: r, Trial: trial, Trials: cfg.Trials,
+					Protocols: protocols, Tiers: tr.tiers, Elapsed: elapsed,
+				}
+			},
+		},
+		row: func(r float64, trials []rangeTrial) Row {
+			row := Row{R: r, ByProtocol: make(map[Protocol]*Metrics, len(protocols))}
+			for _, p := range protocols {
+				row.ByProtocol[p] = &Metrics{}
+			}
+			for _, tr := range trials {
+				row.Tiers.Add(float64(tr.tiers))
+				for i, p := range protocols {
+					o, m := tr.protos[i], row.ByProtocol[p]
+					m.Slots.Add(float64(o.slots))
+					m.MaxSent.Add(float64(o.maxSent))
+					m.MaxReceived.Add(float64(o.maxReceived))
+					m.AvgSent.Add(o.avgSent)
+					m.AvgReceived.Add(o.avgReceived)
 				}
 			}
-			return tr, nil
+			return row
 		},
-		Event: func(r float64, trial int, tr rangeTrial, elapsed time.Duration) Progress {
-			return Progress{
-				Sweep: "range", R: r, Trial: trial, Trials: cfg.Trials,
-				Protocols: protocols, Tiers: tr.tiers, Elapsed: elapsed,
-			}
-		},
-	}
-	if pointDone != nil {
-		sweep.PointDone = func(p SweepPoint[float64, rangeTrial]) {
-			pointDone(PointInfo{Index: p.Index, Seeds: p.Seeds, Elapsed: p.Elapsed},
-				buildRangeRow(p.Point, protocols, p.Trials))
-		}
-	}
-	grid, err := RunSweep(ctx, sweep, observe)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Results{Config: cfg}
-	for pi, r := range cfg.RValues {
-		if skip != nil && skip[pi] {
-			res.Rows = append(res.Rows, Row{R: r})
-			continue
-		}
-		res.Rows = append(res.Rows, buildRangeRow(r, protocols, grid[pi]))
-	}
-	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].R < res.Rows[j].R })
-	return res, nil
-}
-
-// buildRangeRow folds one point's trials (in trial order) into its Row.
-// It reads nothing outside the point, so the Row is a pure function of
-// (point, trials) — per-point results are content-addressable.
-func buildRangeRow(r float64, protocols []Protocol, trials []rangeTrial) Row {
-	row := Row{R: r, ByProtocol: make(map[Protocol]*Metrics, len(protocols))}
-	for _, p := range protocols {
-		row.ByProtocol[p] = &Metrics{}
-	}
-	for _, tr := range trials {
-		row.Tiers.Add(float64(tr.tiers))
-		for i, p := range protocols {
-			o, m := tr.protos[i], row.ByProtocol[p]
-			m.Slots.Add(float64(o.slots))
-			m.MaxSent.Add(float64(o.maxSent))
-			m.MaxReceived.Add(float64(o.maxReceived))
-			m.AvgSent.Add(o.avgSent)
-			m.AvgReceived.Add(o.avgReceived)
-		}
-	}
-	return row
+	}, nil
 }
 
 func runProtocol(p Protocol, nw *topology.Network, cfg Config, seed uint64) (energy.Clock, *energy.Meter, error) {

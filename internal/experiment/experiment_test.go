@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -20,7 +22,7 @@ func tinyConfig() Config {
 }
 
 func TestRunProducesAllMetrics(t *testing.T) {
-	res, err := Run(tinyConfig(), nil)
+	res, err := RunContext(context.Background(), tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestPaperShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, nil)
+	res, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +109,11 @@ func TestPaperShapeHolds(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := tinyConfig()
-	a, err := Run(cfg, nil)
+	a, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, nil)
+	b, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +128,28 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	base := BaseConfig{N: 10, Radius: 30, Trials: 1}
-	bad := []Config{
-		{},
-		{BaseConfig: base, RValues: []float64{6}},                                                                             // missing frames
-		{BaseConfig: base, RValues: []float64{6}, GMLEFrame: 8, TRPFrame: 8, Protocols: []Protocol{"bogus"}},                  // unknown protocol
-		{BaseConfig: BaseConfig{N: 10, Radius: 30, Trials: 1, Workers: -1}, RValues: []float64{6}, GMLEFrame: 8, TRPFrame: 8}, // negative workers
+	inf, nan := math.Inf(1), math.NaN()
+	bad := []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero config", Config{}},
+		{"missing frames", Config{BaseConfig: base, RValues: []float64{6}}},
+		{"unknown protocol", Config{BaseConfig: base, RValues: []float64{6}, GMLEFrame: 8, TRPFrame: 8, Protocols: []Protocol{"bogus"}}},
+		{"negative workers", Config{BaseConfig: BaseConfig{N: 10, Radius: 30, Trials: 1, Workers: -1}, RValues: []float64{6}, GMLEFrame: 8, TRPFrame: 8}},
+		{"negative contention window", Config{BaseConfig: base, RValues: []float64{6}, GMLEFrame: 8, TRPFrame: 8, ContentionWindow: -1}},
+		{"NaN r", Config{BaseConfig: base, RValues: []float64{nan}, GMLEFrame: 8, TRPFrame: 8}},
+		{"+Inf r", Config{BaseConfig: base, RValues: []float64{6, inf}, GMLEFrame: 8, TRPFrame: 8}},
+		{"r over 1e6", Config{BaseConfig: base, RValues: []float64{2e6}, GMLEFrame: 8, TRPFrame: 8}},
+		{"NaN radius", Config{BaseConfig: BaseConfig{N: 10, Radius: nan, Trials: 1}, RValues: []float64{6}, GMLEFrame: 8, TRPFrame: 8}},
+		{"+Inf radius", Config{BaseConfig: BaseConfig{N: 10, Radius: inf, Trials: 1}, RValues: []float64{6}, GMLEFrame: 8, TRPFrame: 8}},
 	}
-	for i, cfg := range bad {
-		if _, err := Run(cfg, nil); err == nil {
-			t.Errorf("case %d accepted", i)
+	for _, tc := range bad {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
+		if _, err := RunContext(context.Background(), tc.cfg, nil); err == nil {
+			t.Errorf("%s: RunContext accepted", tc.name)
 		}
 	}
 }
@@ -144,7 +159,7 @@ func TestProgressCallback(t *testing.T) {
 	cfg.RValues = []float64{6}
 	cfg.Trials = 2
 	var lines []string
-	if _, err := Run(cfg, func(s string) { lines = append(lines, s) }); err != nil {
+	if _, err := RunContext(context.Background(), cfg, func(p Progress) { lines = append(lines, p.String()) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) != 2 {
@@ -153,7 +168,7 @@ func TestProgressCallback(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	res, err := Run(tinyConfig(), nil)
+	res, err := RunContext(context.Background(), tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +203,12 @@ func TestAblationConfigRuns(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Protocols = []Protocol{GMLECCM}
 	cfg.RValues = []float64{6}
-	base, err := Run(cfg, nil)
+	base, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisableIndicatorVector = true
-	flood, err := Run(cfg, nil)
+	flood, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

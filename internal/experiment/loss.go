@@ -60,141 +60,121 @@ type lossTrial struct {
 	rounds      float64
 }
 
-// RunLossSweep measures CCM delivery and TRP false accusations as the
-// channel degrades, with nothing actually missing.
-//
-// Deprecated: shim over RunLossSweepContext; results are identical.
-func RunLossSweep(cfg LossConfig) (*LossResults, error) {
-	return RunLossSweepContext(context.Background(), cfg, nil)
-}
-
 // RunLossSweepContext runs the unreliable-channel sweep over cfg.Workers
 // goroutines. The channel's coin flips draw from the trial's Aux seed
 // stream, so every worker count observes the same losses.
 func RunLossSweepContext(ctx context.Context, cfg LossConfig, observe func(Progress)) (*LossResults, error) {
-	return RunLossSweepPartial(ctx, cfg, nil, nil, observe)
-}
-
-// RunLossSweepPartial is RunLossSweepContext with resume support — the
-// same contract as RunContextPartial: skipped points come back as
-// zero-valued rows (only Loss set) and pointDone fires once per computed
-// point with its fully aggregated LossRow.
-func RunLossSweepPartial(ctx context.Context, cfg LossConfig, skip []bool, pointDone func(PointInfo, LossRow), observe func(Progress)) (*LossResults, error) {
-	if err := cfg.validate(true); err != nil {
-		return nil, err
-	}
-	if cfg.R <= 0 || len(cfg.LossValues) == 0 {
-		return nil, fmt.Errorf("experiment: incomplete loss config %+v", cfg)
-	}
-	for _, loss := range cfg.LossValues {
-		if loss < 0 || loss >= 1 {
-			return nil, fmt.Errorf("experiment: loss probability %v outside [0,1)", loss)
-		}
-	}
-
-	sweep := Sweep[float64, lossTrial]{
-		Base:   cfg.BaseConfig,
-		Points: cfg.LossValues,
-		Skip:   skip,
-		Key:    FloatKey,
-		Run: func(ctx context.Context, loss float64, trial int, seeds TrialSeeds) (lossTrial, error) {
-			d := geom.NewUniformDisk(cfg.N, cfg.Radius, seeds.Deploy)
-			nw, err := topology.Build(d, 0, topology.PaperRanges(cfg.R))
-			if err != nil {
-				return lossTrial{}, fmt.Errorf("loss=%v trial %d: %w", loss, trial, err)
-			}
-			inventory := make([]uint64, 0, nw.Reachable)
-			for i := 0; i < nw.N(); i++ {
-				if nw.Tier[i] > 0 {
-					inventory = append(inventory, uint64(i)+1)
-				}
-			}
-			f := cfg.FrameSize
-			if f == 0 {
-				tol := len(inventory) / 200
-				if tol == 0 {
-					tol = 1
-				}
-				f, err = trp.FrameSizeFor(len(inventory), tol, 0.95)
-				if err != nil {
-					return lossTrial{}, err
-				}
-			}
-			cc := core.Config{
-				FrameSize: f,
-				Seed:      seeds.Proto,
-				Sampling:  1,
-				LossProb:  loss,
-				LossSeed:  seeds.Aux,
-				Tracer:    cfg.Tracer,
-			}
-			got, err := runSessionPooled(nw, cc)
-			if err != nil {
-				return lossTrial{}, err
-			}
-			truthCfg := cc
-			truthCfg.LossProb = 0
-			truthCfg.Tracer = nil // reference computation, not a protocol run
-			truth, err := core.DirectBitmap(nw, truthCfg)
-			if err != nil {
-				return lossTrial{}, err
-			}
-			lt := lossTrial{tiers: nw.K, rounds: float64(got.Rounds)}
-			if truth.Count() > 0 {
-				lt.delivery = float64(got.Bitmap.Count()) / float64(truth.Count())
-				lt.hasDelivery = true
-			}
-			plan, err := trp.NewPlan(inventory, f, seeds.Proto)
-			if err != nil {
-				return lossTrial{}, err
-			}
-			det, err := plan.Detect(got.Bitmap)
-			if err != nil {
-				return lossTrial{}, err
-			}
-			lt.falsePos = float64(len(det.Suspects))
-			return lt, nil
-		},
-		Event: func(loss float64, trial int, lt lossTrial, elapsed time.Duration) Progress {
-			return Progress{
-				Sweep: "loss", R: cfg.R, Loss: loss, Trial: trial, Trials: cfg.Trials,
-				Protocols: []Protocol{TRPCCM}, Tiers: lt.tiers, Elapsed: elapsed,
-			}
-		},
-	}
-	if pointDone != nil {
-		sweep.PointDone = func(p SweepPoint[float64, lossTrial]) {
-			pointDone(PointInfo{Index: p.Index, Seeds: p.Seeds, Elapsed: p.Elapsed},
-				buildLossRow(p.Point, p.Trials))
-		}
-	}
-	grid, err := RunSweep(ctx, sweep, observe)
+	rows, err := RunResumable(ctx, cfg, nil, nil, observe)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &LossResults{Config: cfg}
-	for pi, loss := range cfg.LossValues {
-		if skip != nil && skip[pi] {
-			res.Rows = append(res.Rows, LossRow{Loss: loss})
-			continue
-		}
-		res.Rows = append(res.Rows, buildLossRow(loss, grid[pi]))
-	}
-	return res, nil
+	return &LossResults{Config: cfg, Rows: rows}, nil
 }
 
-// buildLossRow folds one loss probability's trials into its LossRow.
-func buildLossRow(loss float64, trials []lossTrial) LossRow {
-	row := LossRow{Loss: loss}
-	for _, lt := range trials {
-		if lt.hasDelivery {
-			row.Delivery.Add(lt.delivery)
-		}
-		row.FalsePositives.Add(lt.falsePos)
-		row.Rounds.Add(lt.rounds)
+// Validate reports the config's first problem; RunLossSweepContext makes
+// the same check before it runs anything.
+func (cfg LossConfig) Validate() error {
+	if err := cfg.validate(true); err != nil {
+		return err
 	}
-	return row
+	if len(cfg.LossValues) == 0 {
+		return fmt.Errorf("experiment: loss sweep needs loss probabilities")
+	}
+	for _, loss := range cfg.LossValues {
+		if !(loss >= 0 && loss < 1) { // the negated form also catches NaN
+			return fmt.Errorf("experiment: loss probability %v outside [0,1)", loss)
+		}
+	}
+	if cfg.FrameSize < 0 {
+		return fmt.Errorf("experiment: frame size must be >= 0, got %d", cfg.FrameSize)
+	}
+	return checkDistance("inter-tag range", cfg.R)
+}
+
+// kind is the unreliable-channel sweep: one point per loss probability,
+// one lossy TRP-CCM session per trial, measured against the lossless
+// bitmap of the same deployment.
+func (cfg LossConfig) kind() (sweeper[LossRow], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return kind[float64, lossTrial, LossRow]{
+		Sweep: Sweep[float64, lossTrial]{
+			Base:   cfg.BaseConfig,
+			Points: cfg.LossValues,
+			Key:    FloatKey,
+			Run: func(ctx context.Context, loss float64, trial int, seeds TrialSeeds) (lossTrial, error) {
+				d := geom.NewUniformDisk(cfg.N, cfg.Radius, seeds.Deploy)
+				nw, err := topology.Build(d, 0, topology.PaperRanges(cfg.R))
+				if err != nil {
+					return lossTrial{}, fmt.Errorf("loss=%v trial %d: %w", loss, trial, err)
+				}
+				inventory := make([]uint64, 0, nw.Reachable)
+				for i := 0; i < nw.N(); i++ {
+					if nw.Tier[i] > 0 {
+						inventory = append(inventory, uint64(i)+1)
+					}
+				}
+				f := cfg.FrameSize
+				if f == 0 {
+					if f, err = trpFrameFor(len(inventory)); err != nil {
+						return lossTrial{}, err
+					}
+				}
+				cc := core.Config{
+					FrameSize: f,
+					Seed:      seeds.Proto,
+					Sampling:  1,
+					LossProb:  loss,
+					LossSeed:  seeds.Aux,
+					Tracer:    cfg.Tracer,
+				}
+				got, err := runSessionPooled(nw, cc)
+				if err != nil {
+					return lossTrial{}, err
+				}
+				truthCfg := cc
+				truthCfg.LossProb = 0
+				truthCfg.Tracer = nil // reference computation, not a protocol run
+				truth, err := core.DirectBitmap(nw, truthCfg)
+				if err != nil {
+					return lossTrial{}, err
+				}
+				lt := lossTrial{tiers: nw.K, rounds: float64(got.Rounds)}
+				if truth.Count() > 0 {
+					lt.delivery = float64(got.Bitmap.Count()) / float64(truth.Count())
+					lt.hasDelivery = true
+				}
+				plan, err := trp.NewPlan(inventory, f, seeds.Proto)
+				if err != nil {
+					return lossTrial{}, err
+				}
+				det, err := plan.Detect(got.Bitmap)
+				if err != nil {
+					return lossTrial{}, err
+				}
+				lt.falsePos = float64(len(det.Suspects))
+				return lt, nil
+			},
+			Event: func(loss float64, trial int, lt lossTrial, elapsed time.Duration) Progress {
+				return Progress{
+					Sweep: "loss", R: cfg.R, Loss: loss, Trial: trial, Trials: cfg.Trials,
+					Protocols: []Protocol{TRPCCM}, Tiers: lt.tiers, Elapsed: elapsed,
+				}
+			},
+		},
+		row: func(loss float64, trials []lossTrial) LossRow {
+			row := LossRow{Loss: loss}
+			for _, lt := range trials {
+				if lt.hasDelivery {
+					row.Delivery.Add(lt.delivery)
+				}
+				row.FalsePositives.Add(lt.falsePos)
+				row.Rounds.Add(lt.rounds)
+			}
+			return row
+		},
+	}, nil
 }
 
 // Render prints the sweep as a table.

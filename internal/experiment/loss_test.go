@@ -1,16 +1,18 @@
 package experiment
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 )
 
 func TestRunLossSweep(t *testing.T) {
-	res, err := RunLossSweep(LossConfig{
+	res, err := RunLossSweepContext(context.Background(), LossConfig{
 		BaseConfig: BaseConfig{N: 800, Radius: 30, Trials: 3, Seed: 1},
 		R:          6,
 		LossValues: []float64{0, 0.3, 0.8},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,23 +42,38 @@ func TestRunLossSweep(t *testing.T) {
 }
 
 func TestRunLossSweepValidation(t *testing.T) {
-	if _, err := RunLossSweep(LossConfig{}); err == nil {
-		t.Error("empty config accepted")
+	base := BaseConfig{N: 10, Radius: 30, Trials: 1}
+	inf, nan := math.Inf(1), math.NaN()
+	bad := []struct {
+		name string
+		cfg  LossConfig
+	}{
+		{"zero config", LossConfig{}},
+		{"loss >= 1", LossConfig{BaseConfig: base, R: 6, LossValues: []float64{1.5}}},
+		{"negative loss", LossConfig{BaseConfig: base, R: 6, LossValues: []float64{-0.1}}},
+		{"NaN loss", LossConfig{BaseConfig: base, R: 6, LossValues: []float64{0, nan}}},
+		{"+Inf loss", LossConfig{BaseConfig: base, R: 6, LossValues: []float64{inf}}},
+		{"NaN r", LossConfig{BaseConfig: base, R: nan, LossValues: []float64{0.1}}},
+		{"+Inf r", LossConfig{BaseConfig: base, R: inf, LossValues: []float64{0.1}}},
+		{"NaN radius", LossConfig{BaseConfig: BaseConfig{N: 10, Radius: nan, Trials: 1}, R: 6, LossValues: []float64{0.1}}},
+		{"negative frame", LossConfig{BaseConfig: base, R: 6, LossValues: []float64{0.1}, FrameSize: -1}},
 	}
-	if _, err := RunLossSweep(LossConfig{
-		BaseConfig: BaseConfig{N: 10, Radius: 30, Trials: 1},
-		R:          6, LossValues: []float64{1.5},
-	}); err == nil {
-		t.Error("loss >= 1 accepted")
+	for _, tc := range bad {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
+		if _, err := RunLossSweepContext(context.Background(), tc.cfg, nil); err == nil {
+			t.Errorf("%s: RunLossSweepContext accepted", tc.name)
+		}
 	}
 }
 
 func TestRunDensitySweep(t *testing.T) {
-	res, err := RunDensitySweep(DensityConfig{
+	res, err := RunDensitySweepContext(context.Background(), DensityConfig{
 		BaseConfig: BaseConfig{Radius: 30, Trials: 2, Seed: 3},
 		NValues:    []int{500, 2000},
 		R:          6,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +98,25 @@ func TestRunDensitySweep(t *testing.T) {
 }
 
 func TestRunDensitySweepValidation(t *testing.T) {
-	if _, err := RunDensitySweep(DensityConfig{}); err == nil {
-		t.Error("empty config accepted")
+	base := BaseConfig{Radius: 30, Trials: 1}
+	inf, nan := math.Inf(1), math.NaN()
+	bad := []struct {
+		name string
+		cfg  DensityConfig
+	}{
+		{"zero config", DensityConfig{}},
+		{"zero population", DensityConfig{BaseConfig: base, NValues: []int{0}, R: 6}},
+		{"NaN r", DensityConfig{BaseConfig: base, NValues: []int{100}, R: nan}},
+		{"+Inf r", DensityConfig{BaseConfig: base, NValues: []int{100}, R: inf}},
+		{"NaN radius", DensityConfig{BaseConfig: BaseConfig{Radius: nan, Trials: 1}, NValues: []int{100}, R: 6}},
+		{"-Inf radius", DensityConfig{BaseConfig: BaseConfig{Radius: -inf, Trials: 1}, NValues: []int{100}, R: 6}},
 	}
-	if _, err := RunDensitySweep(DensityConfig{
-		BaseConfig: BaseConfig{Radius: 30, Trials: 1},
-		NValues:    []int{0}, R: 6,
-	}); err == nil {
-		t.Error("zero population accepted")
+	for _, tc := range bad {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
+		if _, err := RunDensitySweepContext(context.Background(), tc.cfg, nil); err == nil {
+			t.Errorf("%s: RunDensitySweepContext accepted", tc.name)
+		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 
 	"netags/internal/obs"
 	"netags/internal/prng"
+	"netags/internal/trp"
 )
 
 // BaseConfig carries the fields shared by every sweep in this package.
@@ -68,8 +69,8 @@ func (c BaseConfig) validate(needN bool) error {
 	if needN && c.N <= 0 {
 		return fmt.Errorf("experiment: population N must be positive, got %d", c.N)
 	}
-	if c.Radius <= 0 {
-		return fmt.Errorf("experiment: radius must be positive, got %g", c.Radius)
+	if err := checkDistance("radius", c.Radius); err != nil {
+		return err
 	}
 	if c.Trials <= 0 {
 		return fmt.Errorf("experiment: trials must be positive, got %d", c.Trials)
@@ -78,6 +79,25 @@ func (c BaseConfig) validate(needN bool) error {
 		return fmt.Errorf("experiment: workers must be >= 0, got %d", c.Workers)
 	}
 	return nil
+}
+
+// maxDistance bounds every distance a sweep accepts, in meters.
+const maxDistance = 1e6
+
+// checkDistance rejects a distance (disk radius, inter-tag range) that is
+// not finite and in (0, maxDistance]. The negated form also catches NaN.
+func checkDistance(name string, v float64) error {
+	if !(v > 0 && v <= maxDistance) {
+		return fmt.Errorf("experiment: %s %g outside (0, %g]", name, v, maxDistance)
+	}
+	return nil
+}
+
+// trpFrameFor sizes a TRP frame for an inventory of n tags the way the
+// paper sizes its own: tolerate n/200 missing tags (at least 1), detect
+// with probability 0.95.
+func trpFrameFor(n int) (int, error) {
+	return trp.FrameSizeFor(n, max(n/200, 1), 0.95)
 }
 
 // TrialSeeds are the position-derived seeds of one (point, trial) work
@@ -185,19 +205,23 @@ func (p Progress) MarshalJSON() ([]byte, error) {
 	})
 }
 
+// point renders the event's sweep coordinate ("r=15", "n=5000",
+// "loss=0.2").
+func (p Progress) point() string {
+	switch p.Sweep {
+	case "density":
+		return fmt.Sprintf("n=%d", p.N)
+	case "loss":
+		return fmt.Sprintf("loss=%g", p.Loss)
+	}
+	return fmt.Sprintf("r=%g", p.R)
+}
+
 // String renders the event in the legacy progress-line format, followed by
 // the sweep-wide completion count and remaining-time estimate when the
 // runner stamped them ("r=6 trial 1/2 done (K=4) [3/18, eta 42s]").
 func (p Progress) String() string {
-	var line string
-	switch p.Sweep {
-	case "density":
-		line = fmt.Sprintf("n=%d trial %d/%d done (K=%d)", p.N, p.Trial+1, p.Trials, p.Tiers)
-	case "loss":
-		line = fmt.Sprintf("loss=%g trial %d/%d done (K=%d)", p.Loss, p.Trial+1, p.Trials, p.Tiers)
-	default:
-		line = fmt.Sprintf("r=%g trial %d/%d done (K=%d)", p.R, p.Trial+1, p.Trials, p.Tiers)
-	}
+	line := fmt.Sprintf("%s trial %d/%d done (K=%d)", p.point(), p.Trial+1, p.Trials, p.Tiers)
 	if p.Total > 0 {
 		if p.Completed >= p.Total {
 			line += fmt.Sprintf(" [%d/%d, done]", p.Completed, p.Total)
@@ -237,9 +261,8 @@ type Sweep[P, T any] struct {
 }
 
 // SweepPoint is one completed grid point, delivered to Sweep.PointDone:
-// the point's coordinates, its trial results in trial order, the
-// position-derived seeds each trial ran with, and the summed wall time of
-// the point's work items.
+// the point's coordinates, its trial results in trial order, and the
+// summed wall time of the point's work items.
 type SweepPoint[P, T any] struct {
 	// Index is the point's position in Sweep.Points.
 	Index int
@@ -247,14 +270,80 @@ type SweepPoint[P, T any] struct {
 	Point P
 	// Trials holds the point's results, indexed by trial.
 	Trials []T
-	// Seeds[t] are the seeds trial t ran with (re-derivable via SeedsFor;
-	// carried here so checkpoints can record them without replaying the
-	// derivation).
-	Seeds []TrialSeeds
 	// Elapsed is the sum of the point's per-item wall times — the compute
 	// cost of the point, not the wall-clock span (which under parallelism
 	// interleaves with other points).
 	Elapsed time.Duration
+}
+
+// PointInfo identifies one completed sweep point for RunResumable's
+// per-point hook: its grid index and the summed wall time of its work
+// items.
+type PointInfo struct {
+	Index   int
+	Elapsed time.Duration
+}
+
+// SweepConfig is the config of one sweep kind — Config, DensityConfig or
+// LossConfig — whose points fold into rows of type R (Row, DensityRow,
+// LossRow). Adding a sweep kind means one more such config type, in a file
+// of its own.
+type SweepConfig[R any] interface {
+	// Validate reports the config's first problem, before anything runs.
+	Validate() error
+	// kind validates the config and builds the kind's definition.
+	kind() (sweeper[R], error)
+}
+
+// sweeper is a kind definition with its point and trial types erased.
+type sweeper[R any] interface {
+	run(ctx context.Context, skip []bool, pointDone func(PointInfo, R), observe func(Progress)) ([]R, error)
+}
+
+// kind is the part of a sweep that differs between kinds: the grid (its
+// points, seed key, one trial, progress event) and the fold of one point's
+// trials, in trial order, into the kind's row. The fold reads nothing
+// outside its point, so a row is a pure function of (point, trials).
+type kind[P, T, R any] struct {
+	Sweep[P, T]
+	row func(point P, trials []T) R
+}
+
+// RunResumable is the one driver behind every sweep kind. It runs cfg's
+// grid, skipping the points whose skip[i] is true, and returns the rows in
+// grid order; a skipped point's row is the zero R, because the caller
+// already holds it. pointDone, if non-nil, fires once per computed point,
+// as soon as its last trial lands, with the point's fully aggregated row.
+// Because seeds are position-derived and a row folds only its own point's
+// trials, a row delivered through pointDone is bit-identical to the same
+// row of an uninterrupted run — the contract checkpoint/resume builds on.
+func RunResumable[R any](ctx context.Context, cfg SweepConfig[R], skip []bool, pointDone func(PointInfo, R), observe func(Progress)) ([]R, error) {
+	k, err := cfg.kind()
+	if err != nil {
+		return nil, err
+	}
+	return k.run(ctx, skip, pointDone, observe)
+}
+
+func (k kind[P, T, R]) run(ctx context.Context, skip []bool, pointDone func(PointInfo, R), observe func(Progress)) ([]R, error) {
+	s := k.Sweep
+	s.Skip = skip
+	if pointDone != nil {
+		s.PointDone = func(p SweepPoint[P, T]) {
+			pointDone(PointInfo{Index: p.Index, Elapsed: p.Elapsed}, k.row(p.Point, p.Trials))
+		}
+	}
+	grid, err := RunSweep(ctx, s, observe)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]R, len(s.Points))
+	for i, p := range s.Points {
+		if skip == nil || !skip[i] {
+			rows[i] = k.row(p, grid[i])
+		}
+	}
+	return rows, nil
 }
 
 // RunSweep executes every (point, trial) work item of s over a worker pool
@@ -337,13 +426,9 @@ func RunSweep[P, T any](ctx context.Context, s Sweep[P, T], observe func(Progres
 		if s.PointDone != nil {
 			pointNanos[pi].Add(int64(elapsed))
 			if remaining[pi].Add(-1) == 0 {
-				seeds := make([]TrialSeeds, trials)
-				for t := range seeds {
-					seeds[t] = SeedsFor(s.Base.Seed, s.Key(point), t)
-				}
 				sp := SweepPoint[P, T]{
 					Index: pi, Point: point, Trials: results[pi],
-					Seeds: seeds, Elapsed: time.Duration(pointNanos[pi].Load()),
+					Elapsed: time.Duration(pointNanos[pi].Load()),
 				}
 				mu.Lock()
 				s.PointDone(sp)

@@ -54,12 +54,12 @@ func TestSeedDerivationPinned(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Workers = 1
-	seq, err := Run(cfg, nil)
+	seq, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := Run(cfg, nil)
+	par, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	// Workers: 0 (all cores) joins the same equivalence class.
 	cfg.Workers = 0
-	auto, err := Run(cfg, nil)
+	auto, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestDensitySweepParallelMatchesSequential(t *testing.T) {
 		NValues:    []int{400, 900},
 		R:          6,
 	}
-	seq, err := RunDensitySweep(cfg)
+	seq, err := RunDensitySweepContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := RunDensitySweep(cfg)
+	par, err := RunDensitySweepContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +111,73 @@ func TestLossSweepParallelMatchesSequential(t *testing.T) {
 		R:          6,
 		LossValues: []float64{0, 0.5},
 	}
-	seq, err := RunLossSweep(cfg)
+	seq, err := RunLossSweepContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := RunLossSweep(cfg)
+	par, err := RunLossSweepContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq.Rows, par.Rows) {
 		t.Fatal("loss sweep diverged between worker counts")
+	}
+}
+
+// TestRunResumableMatchesFullRun is the resume contract of the one sweep
+// driver, for every kind: with point 0 skipped, pointDone fires once for
+// each other point with exactly the row an uninterrupted run computes, and
+// the skipped point's row comes back zero-valued.
+func TestRunResumableMatchesFullRun(t *testing.T) {
+	rangeCfg := tinyConfig()
+	rangeCfg.Workers = 2
+	checkResume(t, rangeCfg, len(rangeCfg.RValues))
+	checkResume(t, DensityConfig{
+		BaseConfig: BaseConfig{Radius: 30, Trials: 2, Seed: 3, Workers: 2},
+		NValues:    []int{300, 500},
+		R:          6,
+	}, 2)
+	checkResume(t, LossConfig{
+		BaseConfig: BaseConfig{N: 300, Radius: 30, Trials: 2, Seed: 1, Workers: 2},
+		R:          6,
+		LossValues: []float64{0, 0.5},
+	}, 2)
+}
+
+func checkResume[R any](t *testing.T, cfg SweepConfig[R], points int) {
+	t.Helper()
+	ctx := context.Background()
+	full, err := RunResumable(ctx, cfg, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := make([]bool, points)
+	skip[0] = true
+	var mu sync.Mutex
+	got := map[int]R{}
+	rows, err := RunResumable(ctx, cfg, skip, func(info PointInfo, row R) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := got[info.Index]; dup {
+			t.Errorf("%T: point %d delivered twice", cfg, info.Index)
+		}
+		got[info.Index] = row
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var zero R
+	if !reflect.DeepEqual(rows[0], zero) {
+		t.Errorf("%T: skipped point's row = %+v, want zero", cfg, rows[0])
+	}
+	if len(got) != points-1 {
+		t.Errorf("%T: pointDone fired for %d points, want %d", cfg, len(got), points-1)
+	}
+	for i := 1; i < points; i++ {
+		if !reflect.DeepEqual(got[i], full[i]) || !reflect.DeepEqual(rows[i], full[i]) {
+			t.Errorf("%T: point %d differs from the uninterrupted run", cfg, i)
+		}
 	}
 }
 

@@ -13,11 +13,9 @@
 //	                                 same events to SSE framing
 //	DELETE /api/v1/jobs/{id}         cancel a queued or running job
 //
-// The unversioned /jobs... paths from earlier revisions stay mounted as
-// thin aliases of the same handlers. Every error is the one envelope
-// {"error":{"code":"...","message":"..."}}. Backpressure: a full queue
-// answers 429 (code "queue_full") with a Retry-After header; a draining
-// server answers 503 (code "draining").
+// Every error is the one envelope {"error":{"code":"...","message":"..."}}.
+// Backpressure: a full queue answers 429 (code "queue_full") with a
+// Retry-After header; a draining server answers 503 (code "draining").
 //
 // The mux also serves /metrics (collector snapshot + serve cache, queue,
 // checkpoint, SLO-histogram, and HTTP-latency families), /progress (live
@@ -106,11 +104,10 @@ const (
 // maxSpecBody bounds the POST body (a spec with full axes fits easily).
 const maxSpecBody = 1 << 20
 
-// NewHandler builds the combined mux: the jobs API under /api/v1 (with
-// unversioned aliases) plus the introspection endpoints. Unset obsOpts
-// fields are wired to the manager: Progress to the live job view, Ready to
-// Accepting, ExtraMetrics to the cache/queue/checkpoint counters (chained
-// after any caller-provided hook).
+// NewHandler builds the combined mux: the jobs API under /api/v1 plus the
+// introspection endpoints. Unset obsOpts fields are wired to the manager:
+// Progress to the live job view, Ready to Accepting, ExtraMetrics to the
+// cache/queue/checkpoint counters (chained after any caller-provided hook).
 func NewHandler(m *Manager, obsOpts httpserve.Options) http.Handler {
 	if obsOpts.Progress == nil {
 		obsOpts.Progress = m.ProgressJSON
@@ -126,23 +123,21 @@ func NewHandler(m *Manager, obsOpts httpserve.Options) http.Handler {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", httpserve.NewHandler(obsOpts))
-	// One registration per route, mounted twice: the versioned surface and
-	// the legacy unversioned aliases.
-	registerJobs(mux, m, APIPrefix)
-	registerJobs(mux, m, "")
+	registerJobs(mux, m)
 	return withMiddleware(mux, m.log, m.http)
 }
 
-func registerJobs(mux *http.ServeMux, m *Manager, prefix string) {
-	mux.HandleFunc("POST "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
+// registerJobs mounts the jobs API under APIPrefix.
+func registerJobs(mux *http.ServeMux, m *Manager) {
+	mux.HandleFunc("POST "+APIPrefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
 		handleSubmit(m, w, r)
 	})
-	mux.HandleFunc("GET "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+APIPrefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, struct {
 			Jobs []JobStatus `json:"jobs"`
 		}{Jobs: m.Jobs()})
 	})
-	mux.HandleFunc("GET "+prefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+APIPrefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := m.Job(r.PathValue("id"))
 		if !ok {
 			writeError(w, http.StatusNotFound, CodeNotFound, "unknown job")
@@ -150,16 +145,16 @@ func registerJobs(mux *http.ServeMux, m *Manager, prefix string) {
 		}
 		writeJSON(w, http.StatusOK, st)
 	})
-	mux.HandleFunc("GET "+prefix+"/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+APIPrefix+"/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		handleTrace(m, w, r)
 	})
-	mux.HandleFunc("GET "+prefix+"/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+APIPrefix+"/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		handleResult(m, w, r)
 	})
-	mux.HandleFunc("GET "+prefix+"/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+APIPrefix+"/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
 		handleStream(m, w, r)
 	})
-	mux.HandleFunc("DELETE "+prefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE "+APIPrefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := m.Cancel(r.PathValue("id"))
 		if !ok {
 			writeError(w, http.StatusNotFound, CodeNotFound, "unknown job")

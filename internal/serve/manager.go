@@ -412,7 +412,7 @@ const (
 // ErrDraining (shutdown).
 func (m *Manager) Submit(spec JobSpec, opts SubmitOptions) (JobStatus, SubmitOutcome, error) {
 	norm := spec.Normalized()
-	if err := norm.Validate(); err != nil {
+	if err := norm.validate(); err != nil {
 		return JobStatus{}, "", err
 	}
 	if !opts.Priority.Valid() {

@@ -34,37 +34,6 @@ func sampleView(s *stats.Sample) sampleJSON {
 	return sampleJSON{N: s.N(), Mean: s.Mean(), StdDev: s.StdDev(), Min: s.Min(), Max: s.Max()}
 }
 
-// protoMetricsJSON is one protocol's aggregates at one range point.
-type protoMetricsJSON struct {
-	Protocol    string     `json:"protocol"`
-	Slots       sampleJSON `json:"slots"`
-	MaxSent     sampleJSON `json:"max_sent"`
-	MaxReceived sampleJSON `json:"max_received"`
-	AvgSent     sampleJSON `json:"avg_sent"`
-	AvgReceived sampleJSON `json:"avg_received"`
-}
-
-type rangeRowJSON struct {
-	R         float64            `json:"r"`
-	Tiers     sampleJSON         `json:"tiers"`
-	Protocols []protoMetricsJSON `json:"protocols"`
-}
-
-type densityRowJSON struct {
-	N         int        `json:"n"`
-	Tiers     sampleJSON `json:"tiers"`
-	SICPSlots sampleJSON `json:"sicp_slots"`
-	GMLESlots sampleJSON `json:"gmle_slots"`
-	TRPSlots  sampleJSON `json:"trp_slots"`
-}
-
-type lossRowJSON struct {
-	Loss           float64    `json:"loss"`
-	Delivery       sampleJSON `json:"delivery"`
-	FalsePositives sampleJSON `json:"false_positives"`
-	Rounds         sampleJSON `json:"rounds"`
-}
-
 // resultPayload is the JSON document served by GET /api/v1/jobs/{id}/result
 // and stored in the cache. Exactly one row slice is populated, matching the
 // spec's sweep kind; rows are raw per-point JSON, the same bytes that were
@@ -78,48 +47,6 @@ type resultPayload struct {
 	RangeRows   []json.RawMessage `json:"range_rows,omitempty"`
 	DensityRows []json.RawMessage `json:"density_rows,omitempty"`
 	LossRows    []json.RawMessage `json:"loss_rows,omitempty"`
-}
-
-// Per-point row encoders. Each renders one grid point's aggregates into
-// the deterministic row JSON; protocols appear in the canonical order
-// regardless of how the map iterates.
-
-func encodeRangeRow(row experiment.Row) (json.RawMessage, error) {
-	rj := rangeRowJSON{R: row.R, Tiers: sampleView(&row.Tiers)}
-	for _, proto := range protocolOrder {
-		m, ok := row.ByProtocol[proto]
-		if !ok {
-			continue
-		}
-		rj.Protocols = append(rj.Protocols, protoMetricsJSON{
-			Protocol:    string(proto),
-			Slots:       sampleView(&m.Slots),
-			MaxSent:     sampleView(&m.MaxSent),
-			MaxReceived: sampleView(&m.MaxReceived),
-			AvgSent:     sampleView(&m.AvgSent),
-			AvgReceived: sampleView(&m.AvgReceived),
-		})
-	}
-	return json.Marshal(rj)
-}
-
-func encodeDensityRow(row experiment.DensityRow) (json.RawMessage, error) {
-	return json.Marshal(densityRowJSON{
-		N:         row.N,
-		Tiers:     sampleView(&row.Tiers),
-		SICPSlots: sampleView(&row.SICPSlots),
-		GMLESlots: sampleView(&row.GMLESlots),
-		TRPSlots:  sampleView(&row.TRPSlots),
-	})
-}
-
-func encodeLossRow(row experiment.LossRow) (json.RawMessage, error) {
-	return json.Marshal(lossRowJSON{
-		Loss:           row.Loss,
-		Delivery:       sampleView(&row.Delivery),
-		FalsePositives: sampleView(&row.FalsePositives),
-		Rounds:         sampleView(&row.Rounds),
-	})
 }
 
 // runHooks carries the per-run wiring from the manager into runSpecHooked.
@@ -144,22 +71,14 @@ type runHooks struct {
 // plus fresh points) with assemblePayload.
 func runSpecHooked(ctx context.Context, spec JobSpec, workers int, h runHooks) error {
 	n := spec.Normalized()
-	if err := n.Validate(); err != nil {
+	if err := n.validate(); err != nil {
 		return err
 	}
-	base := experiment.BaseConfig{
-		N:       n.N,
-		Radius:  n.Radius,
-		Trials:  n.Trials,
-		Seed:    n.Seed,
-		Workers: workers,
-		Tracer:  h.tracer,
-	}
-	emit := func(encode func() (json.RawMessage, error), info experiment.PointInfo) {
+	k := sweepKinds[n.Sweep]
+	return k.run(ctx, &n, n.base(workers, h.tracer), h, func(info experiment.PointInfo, row json.RawMessage, err error) {
 		if h.pointDone == nil {
 			return
 		}
-		row, err := encode()
 		if err != nil {
 			// A row that cannot marshal is a programming error; surface it
 			// loudly rather than checkpointing a hole.
@@ -167,50 +86,11 @@ func runSpecHooked(ctx context.Context, spec JobSpec, workers int, h runHooks) e
 		}
 		h.pointDone(PointRecord{
 			Index:     info.Index,
-			Label:     n.PointLabel(info.Index),
+			Label:     k.label(&n, info.Index),
 			ElapsedMS: float64(info.Elapsed) / float64(time.Millisecond),
 			Row:       row,
 		})
-	}
-	switch n.Sweep {
-	case SweepRange:
-		protos := make([]experiment.Protocol, len(n.Protocols))
-		for i, p := range n.Protocols {
-			protos[i] = experiment.Protocol(p)
-		}
-		_, err := experiment.RunContextPartial(ctx, experiment.Config{
-			BaseConfig:             base,
-			RValues:                n.RValues,
-			GMLEFrame:              n.GMLEFrame,
-			TRPFrame:               n.TRPFrame,
-			Protocols:              protos,
-			ContentionWindow:       n.ContentionWindow,
-			DisableIndicatorVector: n.DisableIndicatorVector,
-		}, h.skip, func(info experiment.PointInfo, row experiment.Row) {
-			emit(func() (json.RawMessage, error) { return encodeRangeRow(row) }, info)
-		}, h.observe)
-		return err
-	case SweepDensity:
-		_, err := experiment.RunDensitySweepPartial(ctx, experiment.DensityConfig{
-			BaseConfig: base,
-			NValues:    n.NValues,
-			R:          n.R,
-		}, h.skip, func(info experiment.PointInfo, row experiment.DensityRow) {
-			emit(func() (json.RawMessage, error) { return encodeDensityRow(row) }, info)
-		}, h.observe)
-		return err
-	case SweepLoss:
-		_, err := experiment.RunLossSweepPartial(ctx, experiment.LossConfig{
-			BaseConfig: base,
-			R:          n.R,
-			LossValues: n.LossValues,
-			FrameSize:  n.FrameSize,
-		}, h.skip, func(info experiment.PointInfo, row experiment.LossRow) {
-			emit(func() (json.RawMessage, error) { return encodeLossRow(row) }, info)
-		}, h.observe)
-		return err
-	}
-	return fmt.Errorf("serve: unknown sweep kind %q", n.Sweep)
+	})
 }
 
 // assemblePayload renders the final result document from the job's
@@ -219,17 +99,12 @@ func runSpecHooked(ctx context.Context, spec JobSpec, workers int, h runHooks) e
 // what makes their bytes identical.
 func assemblePayload(key string, spec JobSpec, rows []json.RawMessage) ([]byte, error) {
 	n := spec.Normalized()
-	p := resultPayload{Key: key, Spec: n}
-	switch n.Sweep {
-	case SweepRange:
-		p.RangeRows = rows
-	case SweepDensity:
-		p.DensityRows = rows
-	case SweepLoss:
-		p.LossRows = rows
-	default:
-		return nil, fmt.Errorf("serve: unknown sweep kind %q", n.Sweep)
+	k, err := n.kind()
+	if err != nil {
+		return nil, err
 	}
+	p := resultPayload{Key: key, Spec: n}
+	*k.rows(&p) = rows
 	b, err := json.Marshal(p)
 	if err != nil {
 		return nil, err
@@ -242,7 +117,7 @@ func assemblePayload(key string, spec JobSpec, rows []json.RawMessage) ([]byte, 
 // byte-identity reference for everything the service layers on top.
 func runSpec(ctx context.Context, spec JobSpec, workers int, observe func(experiment.Progress), tracer obs.Tracer) ([]byte, error) {
 	n := spec.Normalized()
-	if err := n.Validate(); err != nil {
+	if err := n.validate(); err != nil {
 		return nil, err
 	}
 	key, err := n.Key()

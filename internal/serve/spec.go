@@ -18,11 +18,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
-
-	"netags/internal/experiment"
-	"netags/internal/gmle"
-	"netags/internal/trp"
 )
 
 // Spec size caps: a service accepting jobs from the network must bound the
@@ -38,13 +33,6 @@ const (
 	MaxWorkItems = 1 << 20
 	// MaxPopulation bounds the tag population per deployment.
 	MaxPopulation = 1 << 20
-)
-
-// Sweep kinds accepted by JobSpec.Sweep.
-const (
-	SweepRange   = "range"
-	SweepDensity = "density"
-	SweepLoss    = "loss"
 )
 
 // JobSpec is the canonical description of one sweep job. It mirrors the
@@ -102,170 +90,49 @@ type JobSpec struct {
 	FrameSize int `json:"frame_size,omitempty"`
 }
 
-// protocolOrder is the canonical protocol ordering used for normalization
-// and result rendering (matching the experiment package's render order).
-var protocolOrder = []experiment.Protocol{
-	experiment.SICP, experiment.CICP, experiment.GMLECCM, experiment.TRPCCM,
-}
-
 // Normalized returns the canonical form of the spec: defaults materialized,
-// ignored fields cleared, protocol set and range axis canonically ordered.
-// It does not validate; Key and Validate both start from this form.
+// fields the selected sweep ignores cleared, protocol set and range axis
+// canonically ordered. It does not validate; Key and Validate both start
+// from this form.
 func (s JobSpec) Normalized() JobSpec {
-	n := s
-	if n.Sweep == "" {
-		n.Sweep = SweepRange
+	if s.Sweep == "" {
+		s.Sweep = SweepRange
 	}
-	if n.Radius == 0 {
-		n.Radius = 30 // the paper's deployment disk
+	if s.Radius == 0 {
+		s.Radius = 30 // the paper's deployment disk
 	}
-	switch n.Sweep {
-	case SweepRange:
-		if len(n.Protocols) == 0 {
-			n.Protocols = []string{string(experiment.SICP), string(experiment.GMLECCM), string(experiment.TRPCCM)}
-		}
-		n.Protocols = canonicalProtocols(n.Protocols)
-		if n.GMLEFrame == 0 {
-			n.GMLEFrame = gmle.PaperFrameSize
-		}
-		if n.TRPFrame == 0 {
-			n.TRPFrame = trp.PaperFrameSize
-		}
-		// Range rows are sorted by r and seeds are position-derived from the
-		// point value, so axis order cannot change the result: sort it.
-		n.RValues = append([]float64(nil), n.RValues...)
-		sort.Float64s(n.RValues)
-		// Fields the range sweep never reads.
-		n.NValues, n.R, n.LossValues, n.FrameSize = nil, 0, nil, 0
-	case SweepDensity:
-		// The density sweep ignores N and every range/loss-only knob.
-		n.N = 0
-		n.RValues, n.Protocols = nil, nil
-		n.GMLEFrame, n.TRPFrame, n.ContentionWindow = 0, 0, 0
-		n.DisableIndicatorVector = false
-		n.LossValues, n.FrameSize = nil, 0
-		n.NValues = append([]int(nil), n.NValues...)
-	case SweepLoss:
-		n.RValues, n.Protocols = nil, nil
-		n.GMLEFrame, n.TRPFrame, n.ContentionWindow = 0, 0, 0
-		n.DisableIndicatorVector = false
-		n.NValues = nil
-		n.LossValues = append([]float64(nil), n.LossValues...)
+	k, ok := sweepKinds[s.Sweep]
+	if !ok {
+		return s // Validate rejects the kind; there is nothing to canonicalize
 	}
+	n := k.normalize(s)
+	n.Sweep, n.Radius, n.Trials, n.Seed = s.Sweep, s.Radius, s.Trials, s.Seed
 	return n
-}
-
-// canonicalProtocols dedupes and orders a protocol list into the canonical
-// render order. Unknown names sort last (alphabetically) so normalization
-// stays total; Validate rejects them afterwards.
-func canonicalProtocols(in []string) []string {
-	seen := map[string]bool{}
-	var known, unknown []string
-	for _, p := range in {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		found := false
-		for _, kp := range protocolOrder {
-			if p == string(kp) {
-				found = true
-				break
-			}
-		}
-		if found {
-			known = append(known, p)
-		} else {
-			unknown = append(unknown, p)
-		}
-	}
-	out := make([]string, 0, len(known)+len(unknown))
-	for _, kp := range protocolOrder {
-		for _, p := range known {
-			if p == string(kp) {
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Strings(unknown)
-	return append(out, unknown...)
 }
 
 // Validate checks the normalized spec. It reports the first problem found.
 func (s JobSpec) Validate() error {
 	n := s.Normalized()
-	if n.Trials <= 0 {
-		return fmt.Errorf("serve: trials must be positive, got %d", n.Trials)
+	return n.validate()
+}
+
+// validate checks an already-normalized spec: the experiment package's
+// validator for the kind, then the service caps.
+func (n *JobSpec) validate() error {
+	k, err := n.kind()
+	if err != nil {
+		return err
+	}
+	if err := k.validate(n); err != nil {
+		return err
 	}
 	if n.Trials > MaxTrials {
 		return fmt.Errorf("serve: trials %d exceeds cap %d", n.Trials, MaxTrials)
 	}
-	if n.Radius <= 0 {
-		return fmt.Errorf("serve: radius must be positive, got %g", n.Radius)
+	if p := k.population(n); p > MaxPopulation {
+		return fmt.Errorf("serve: population %d exceeds cap %d", p, MaxPopulation)
 	}
-	var points int
-	switch n.Sweep {
-	case SweepRange:
-		points = len(n.RValues)
-		if points == 0 {
-			return fmt.Errorf("serve: range sweep needs r_values")
-		}
-		for _, r := range n.RValues {
-			if !(r > 0) || r > 1e6 {
-				return fmt.Errorf("serve: inter-tag range %g out of range", r)
-			}
-		}
-		if n.N <= 0 || n.N > MaxPopulation {
-			return fmt.Errorf("serve: population n must be in [1, %d], got %d", MaxPopulation, n.N)
-		}
-		for _, p := range n.Protocols {
-			switch experiment.Protocol(p) {
-			case experiment.SICP, experiment.CICP, experiment.GMLECCM, experiment.TRPCCM:
-			default:
-				return fmt.Errorf("serve: unknown protocol %q", p)
-			}
-		}
-		if n.GMLEFrame <= 0 || n.TRPFrame <= 0 {
-			return fmt.Errorf("serve: frame sizes must be positive")
-		}
-		if n.ContentionWindow < 0 {
-			return fmt.Errorf("serve: contention window must be >= 0, got %d", n.ContentionWindow)
-		}
-	case SweepDensity:
-		points = len(n.NValues)
-		if points == 0 {
-			return fmt.Errorf("serve: density sweep needs n_values")
-		}
-		for _, v := range n.NValues {
-			if v <= 0 || v > MaxPopulation {
-				return fmt.Errorf("serve: population %d out of [1, %d]", v, MaxPopulation)
-			}
-		}
-		if !(n.R > 0) || n.R > 1e6 {
-			return fmt.Errorf("serve: inter-tag range %g out of range", n.R)
-		}
-	case SweepLoss:
-		points = len(n.LossValues)
-		if points == 0 {
-			return fmt.Errorf("serve: loss sweep needs loss_values")
-		}
-		for _, l := range n.LossValues {
-			if l < 0 || l >= 1 {
-				return fmt.Errorf("serve: loss probability %g outside [0,1)", l)
-			}
-		}
-		if n.N <= 0 || n.N > MaxPopulation {
-			return fmt.Errorf("serve: population n must be in [1, %d], got %d", MaxPopulation, n.N)
-		}
-		if !(n.R > 0) || n.R > 1e6 {
-			return fmt.Errorf("serve: inter-tag range %g out of range", n.R)
-		}
-		if n.FrameSize < 0 {
-			return fmt.Errorf("serve: frame size must be >= 0, got %d", n.FrameSize)
-		}
-	default:
-		return fmt.Errorf("serve: unknown sweep kind %q", n.Sweep)
-	}
+	points := k.points(n)
 	if points > MaxPoints {
 		return fmt.Errorf("serve: %d sweep points exceed cap %d", points, MaxPoints)
 	}
@@ -285,34 +152,19 @@ func (s JobSpec) TotalItems() int {
 // of grid points, and the denominator of the per-point checkpoint.
 func (s JobSpec) PointCount() int {
 	n := s.Normalized()
-	switch n.Sweep {
-	case SweepRange:
-		return len(n.RValues)
-	case SweepDensity:
-		return len(n.NValues)
-	case SweepLoss:
-		return len(n.LossValues)
+	k, err := n.kind()
+	if err != nil {
+		return 0
 	}
-	return 0
+	return k.points(&n)
 }
 
 // PointLabel renders point i's coordinate on the normalized axis ("r=6",
 // "n=5000", "loss=0.2") — the human-readable half of a checkpoint entry.
 func (s JobSpec) PointLabel(i int) string {
 	n := s.Normalized()
-	switch n.Sweep {
-	case SweepRange:
-		if i >= 0 && i < len(n.RValues) {
-			return fmt.Sprintf("r=%g", n.RValues[i])
-		}
-	case SweepDensity:
-		if i >= 0 && i < len(n.NValues) {
-			return fmt.Sprintf("n=%d", n.NValues[i])
-		}
-	case SweepLoss:
-		if i >= 0 && i < len(n.LossValues) {
-			return fmt.Sprintf("loss=%g", n.LossValues[i])
-		}
+	if k, err := n.kind(); err == nil && i >= 0 && i < k.points(&n) {
+		return k.label(&n, i)
 	}
 	return fmt.Sprintf("point=%d", i)
 }

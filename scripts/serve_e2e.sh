@@ -4,7 +4,7 @@
 # process at ~50% of the points, restart on the same dir, resubmit the
 # same spec, and verify the resumed job (a) reports resumed points,
 # (b) finishes, (c) produces a byte-identical result to an uninterrupted
-# run, and (d) carries a full lifecycle timeline on /jobs/{id}/trace
+# run, and (d) carries a full lifecycle timeline on /api/v1/jobs/{id}/trace
 # (checkpoint_restored included) with the SLO histogram families live on
 # /metrics and X-Request-ID correlation on every response. Exercises
 # /api/v1/jobs, /stream, /trace, /result, and /metrics end to end.
